@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -95,6 +96,58 @@ func TestGCGenerationalSweep(t *testing.T) {
 		if i >= 2 && err != nil {
 			t.Fatalf("entry %d should survive: %v", i, err)
 		}
+	}
+}
+
+// TestBackgroundGCLoop drives GC through StartGC/StopGC instead of a
+// direct call: the loop must sweep an over-cap store down to the low
+// watermark without touching pinned entries, a second StartGC must not
+// start a second loop, and StopGC must return only after the loop has
+// exited, leaking no goroutine and running no sweep afterwards.
+func TestBackgroundGCLoop(t *testing.T) {
+	s := openTest(t, Options{})
+	keys, entrySize := putN(t, s, "ir", 16)
+	old := time.Now().Add(-time.Hour)
+	for _, k := range keys {
+		_ = os.Chtimes(s.objectPath("ir", k), old, old)
+	}
+	pinned := []int{0, 5, 11}
+	for _, i := range pinned {
+		s.Pin("ir", keys[i])
+	}
+	s.opts.MaxBytes = entrySize * 8
+	low := s.opts.MaxBytes - s.opts.MaxBytes/8
+
+	goroutines := runtime.NumGoroutine()
+	s.StartGC(time.Millisecond)
+	s.StartGC(time.Millisecond)
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Counters()["gc_sweeps"] < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("background GC never swept")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.StopGC()
+	sweeps := s.Counters()["gc_sweeps"]
+
+	if got := s.SizeBytes(); got > low {
+		t.Errorf("after background GC size = %d, want <= low watermark %d", got, low)
+	}
+	for _, i := range pinned {
+		if _, err := s.Get("ir", keys[i]); err != nil {
+			t.Errorf("pinned entry %d evicted by the background loop: %v", i, err)
+		}
+	}
+	for runtime.NumGoroutine() > goroutines {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after StopGC, %d before StartGC", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // twenty intervals of a live loop
+	if got := s.Counters()["gc_sweeps"]; got != sweeps {
+		t.Errorf("gc_sweeps went from %d to %d after StopGC returned", sweeps, got)
 	}
 }
 

@@ -4,86 +4,78 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/cas"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/memo"
 	"repro/internal/obs"
+	"repro/internal/pa8000"
 	"repro/internal/profile"
 )
 
-// Cache memoizes the configuration-independent stages of Compile: the
-// front end (parse, check, lower — identical for every scope and budget
-// of the same sources) and the training run (the instrumented build and
-// interpreter execution depend only on the sources and training inputs,
-// so the "p" and "cp" configurations of one benchmark can share it).
-// The experiment harness compiles every benchmark under many
-// configurations; with a cache the frontend and training work is done
-// once per benchmark instead of once per cell.
+// Cache memoizes three stages of the pipeline: the front end (parse,
+// check, lower — identical for every scope and budget of the same
+// sources), the training run (it depends only on the sources and
+// training inputs, so the "p" and "cp" configurations of one benchmark
+// share it), and simulations (a pure function of the linked program,
+// the machine configuration, the engine and the inputs, keyed by
+// pa8000.RunDigest). The experiment harness compiles every benchmark
+// under many configurations; with a cache the frontend and training
+// work is done once per benchmark instead of once per cell, and a
+// simulation once per distinct machine program and input vector.
 //
-// Both stages run before HLO, so every entry is decision-policy
-// independent by construction: all policies of one benchmark share one
-// parse and one training run, and nothing downstream of the policy
-// choice is ever memoized here. Policy-dependent artifacts — the
-// daemon's rendered responses — live in the serve layer, keyed on the
-// canonical policy identity (serve.respKey).
+// Every entry is decision-policy safe. The front end and training run
+// before HLO, so all policies of one benchmark share one parse and one
+// training run. Simulations run after the policy choice, but their key
+// is the machine code the policy produced, so two policies share a
+// simulation only when they emitted the identical program.
+// Policy-dependent artifacts — the daemon's rendered responses — live
+// in the serve layer, keyed on the canonical policy identity
+// (serve.respKey).
 //
 // Cached front-end output is pristine: every hit returns a fresh deep
 // copy (ir.Program.Clone), so concurrent compilations never share
-// mutable IR. Cached profile databases are shared without copying —
-// profile.Data.Attach only reads the database. A nil *Cache is valid
+// mutable IR, and every simulation caller gets a private copy of the
+// memoized Stats. Cached profile databases are shared without copying
+// — profile.Data.Attach only reads the database. A nil *Cache is valid
 // and disables memoization.
 //
-// Hits are observationally identical to misses apart from wall time and
-// flight-recorder attribution: the same pipeline spans are emitted, the
-// same compile-cost charges apply, and errors carry the same messages
-// (a cached permanent error is returned on every subsequent lookup;
-// context-cancellation errors are never cached — see trainProfile).
-// The recorder deliberately sees the difference: misses emit
-// frontend/parse and train/run leaves, hits emit frontend/clone leaves
-// and cache.*.hit counters, so the attribution report can say what the
-// cache saved and what each hit's deep copy costs.
-// A Cache optionally carries a second, persistent tier (SetStore): a
-// content-addressed on-disk store shared by every daemon in a compile
-// farm. Fills consult the disk tier before doing work and publish
-// their results back, so a rebooted process warm-starts from artifacts
-// the farm already built — see persist.go for formats and guarantees.
+// Each stage is a memo.Group: concurrent requests for one key share
+// one fill, a permanent error is returned on every later lookup, and a
+// context error is never cached — a waiter takes over the fill. Hits
+// are observationally identical to misses apart from wall time and
+// flight-recorder attribution: misses emit frontend/parse, train/run
+// and simulate/run leaves, hits emit frontend/clone and simulate/hit
+// leaves, and every lookup counts cache.<stage>.{hit,miss}, so the
+// attribution report can say what the cache saved and what each hit
+// costs.
+//
+// A Cache optionally carries a second, persistent tier (SetStore) for
+// the front end and training: a content-addressed on-disk store shared
+// by every daemon in a compile farm. Fills consult the disk tier before
+// doing work and publish their results back, so a rebooted process
+// warm-starts from artifacts the farm already built — see persist.go
+// for formats and guarantees.
 type Cache struct {
-	mu        sync.Mutex
-	frontends map[string]*frontendEntry
-	trains    map[string]*trainEntry
+	frontends memo.Group[string, *ir.Program]
+	trains    memo.Group[string, *trainEntry]
+	sims      memo.Group[[32]byte, *pa8000.Stats]
 	store     *cas.Store // tier 2, nil when purely in-memory
 }
 
 // NewCache returns an empty cache.
 func NewCache() *Cache { return &Cache{} }
 
-type frontendEntry struct {
-	once sync.Once
-	prog *ir.Program
-	err  error
-}
-
+// trainEntry is one memoized training stage.
 type trainEntry struct {
-	// done is closed when the filling caller finishes (successfully or
-	// not). Unlike the frontend's sync.Once, training is cancellable: the
-	// fill runs under the FIRST requester's context, and if that context
-	// dies mid-train the entry is evicted before done is closed, so a
-	// waiting requester retries as the new filler under its own context
-	// instead of inheriting a stranger's cancellation error. Permanent
-	// errors (bad sources, failing training run) are latched forever,
-	// matching the frontend cache.
-	done chan struct{}
 	data *profile.Data
 	res  *interp.Result
 	// costQuad/costLinear are the instrumented build's compile cost
 	// under both cost models, so one entry serves any HLO.LinearCost.
 	costQuad   int64
 	costLinear int64
-	err        error
 }
 
 // cost returns the instrumented build's compile cost under the given
@@ -132,101 +124,53 @@ func (c *Cache) Frontend(sources []string) (*ir.Program, error) {
 // parse happens per source set, so merged attribution stays
 // deterministic.
 func (c *Cache) frontend(sources []string, rec *obs.Recorder) (*ir.Program, bool, error) {
-	if c == nil {
+	parse := func() (*ir.Program, error) {
 		sp := rec.Begin("frontend/parse")
-		p, err := Frontend(sources)
-		sp.End()
+		defer sp.End()
+		return Frontend(sources)
+	}
+	if c == nil {
+		p, err := parse()
 		return p, false, err
 	}
 	key := sourceKey(sources)
-	c.mu.Lock()
-	if c.frontends == nil {
-		c.frontends = make(map[string]*frontendEntry)
-	}
-	e, ok := c.frontends[key]
-	if !ok {
-		e = &frontendEntry{}
-		c.frontends[key] = e
-	}
-	c.mu.Unlock()
-	filled := false
-	e.once.Do(func() {
-		filled = true
+	prog, hit, err := c.frontends.Do(context.Background(), key, func() (*ir.Program, error) {
 		if c.store != nil {
 			if p, ok := c.loadFrontend(key, rec); ok {
-				e.prog = p
-				return
+				return p, nil
 			}
 		}
-		sp := rec.Begin("frontend/parse")
-		e.prog, e.err = Frontend(sources)
-		sp.End()
-		if e.err == nil && c.store != nil {
-			c.storeFrontend(key, e.prog, rec)
+		p, err := parse()
+		if err == nil && c.store != nil {
+			c.storeFrontend(key, p, rec)
 		}
+		return p, err
 	})
-	if e.err != nil {
-		return nil, !filled, e.err
+	if err != nil {
+		return nil, hit, err
 	}
 	sp := rec.Begin("frontend/clone")
-	p := e.prog.Clone()
+	p := prog.Clone()
 	sp.End()
-	return p, !filled, nil
+	return p, hit, nil
 }
 
 // trainProfile memoizes the PBO training stage: instrumented build,
 // training run(s), profile merge. The entry records the instrumented
 // build's compile cost under both cost models so the caller can charge
-// exactly what an uncached run would have charged.
-//
-// Cancellation protocol: the first requester for a key fills the entry
-// under its own context. Requesters that find a fill in flight wait for
-// it (or their own context, whichever dies first). A fill that ends in
-// a context error is evicted rather than latched — the canceling
-// requester gets its own ctx error, and any waiter retries from the
-// top, becoming the new filler.
-// The returned hit flag reports whether the entry was already filled
-// (or being filled by someone else) — waiters count as hits: they pay
-// wall time but no training work of their own.
+// exactly what an uncached run would have charged. The returned hit
+// flag reports whether the entry was already filled (or being filled by
+// someone else) — waiters count as hits: they pay wall time but no
+// training work of their own.
 func (c *Cache) trainProfile(ctx context.Context, sources []string, train []int64, extras [][]int64, rec *obs.Recorder) (*trainEntry, bool, error) {
 	if c == nil {
-		e := &trainEntry{}
-		e.fill(ctx, c, sources, train, extras, rec)
-		return e, false, e.err
+		e, err := c.fillTrain(ctx, "", sources, train, extras, rec)
+		return e, false, err
 	}
 	key := trainKey(sources, train, extras)
-	for {
-		c.mu.Lock()
-		if c.trains == nil {
-			c.trains = make(map[string]*trainEntry)
-		}
-		e, ok := c.trains[key]
-		if !ok {
-			e = &trainEntry{done: make(chan struct{})}
-			c.trains[key] = e
-			c.mu.Unlock()
-			e.fill(ctx, c, sources, train, extras, rec)
-			if isCtxErr(e.err) {
-				c.mu.Lock()
-				if c.trains[key] == e {
-					delete(c.trains, key)
-				}
-				c.mu.Unlock()
-			}
-			close(e.done)
-			return e, false, e.err
-		}
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-			if isCtxErr(e.err) {
-				continue // the filler was canceled; retry as the filler
-			}
-			return e, true, e.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
+	return c.trains.Do(ctx, key, func() (*trainEntry, error) {
+		return c.fillTrain(ctx, key, sources, train, extras, rec)
+	})
 }
 
 // TrainProfile is the memoizing, cancellable counterpart of the
@@ -245,39 +189,28 @@ func (c *Cache) TrainProfile(ctx context.Context, sources []string, train []int6
 // attribute training latency the same way batch compiles do.
 func (c *Cache) TrainProfileObs(ctx context.Context, sources []string, train []int64, extras [][]int64, rec *obs.Recorder) (*profile.Data, error) {
 	e, hit, err := c.trainProfile(ctx, sources, train, extras, rec)
-	if rec != nil {
-		if hit {
-			rec.Count("cache.train.hit", 1)
-		} else {
-			rec.Count("cache.train.miss", 1)
-		}
-	}
+	countCache(rec, "cache.train", hit)
 	if err != nil {
 		return nil, err
 	}
 	return e.data, nil
 }
 
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// fill runs the training stage, reusing the front-end cache for the
-// instrumented build. Error messages match the historical uncached
-// paths exactly. Each interpreter execution runs inside a "train/run"
-// span on rec (the filling requester's recorder), so the attribution
-// report separates training interpretation from the rest of the train
-// stage's bookkeeping.
-func (e *trainEntry) fill(ctx context.Context, c *Cache, sources []string, train []int64, extras [][]int64, rec *obs.Recorder) {
-	if c != nil && c.store != nil {
-		if e.loadTrain(c, trainKey(sources, train, extras), rec) {
-			return
-		}
+// fillTrain runs the training stage, reusing the front-end cache for
+// the instrumented build. key is the entry's memo key, used for the
+// disk tier. Error messages match the historical uncached paths
+// exactly. Each interpreter execution runs inside a "train/run" span
+// on rec (the filling requester's recorder), so the attribution report
+// separates training interpretation from the rest of the train stage's
+// bookkeeping.
+func (c *Cache) fillTrain(ctx context.Context, key string, sources []string, train []int64, extras [][]int64, rec *obs.Recorder) (*trainEntry, error) {
+	e := &trainEntry{}
+	if c != nil && c.store != nil && e.loadTrain(c, key, rec) {
+		return e, nil
 	}
 	trainProg, _, err := c.frontend(sources, rec)
 	if err != nil {
-		e.err = err
-		return
+		return nil, err
 	}
 	e.costQuad = programCost(trainProg, false)
 	e.costLinear = programCost(trainProg, true)
@@ -285,8 +218,7 @@ func (e *trainEntry) fill(ctx context.Context, c *Cache, sources []string, train
 	res, err := interp.RunCtx(ctx, trainProg, interp.Options{Inputs: train, Profile: true})
 	sp.End()
 	if err != nil {
-		e.err = fmt.Errorf("driver: training run: %w", err)
-		return
+		return nil, fmt.Errorf("driver: training run: %w", err)
 	}
 	e.res = res
 	db := res.Profile
@@ -295,13 +227,50 @@ func (e *trainEntry) fill(ctx context.Context, c *Cache, sources []string, train
 		res2, err := interp.RunCtx(ctx, trainProg, interp.Options{Inputs: extra, Profile: true})
 		sp.End()
 		if err != nil {
-			e.err = fmt.Errorf("driver: extra training run: %w", err)
-			return
+			return nil, fmt.Errorf("driver: extra training run: %w", err)
 		}
 		db.Merge(res2.Profile, 100)
 	}
 	e.data = db
 	if c != nil && c.store != nil {
-		e.storeTrain(c, trainKey(sources, train, extras), rec)
+		e.storeTrain(c, key, rec)
 	}
+	return e, nil
+}
+
+// simHitHook, when non-nil, sees every simulation memo hit: the
+// program, configuration and inputs of the run and the outcome the
+// memo handed out. Tests set it to re-simulate each hit and compare.
+var simHitHook func(p *pa8000.Program, cfg pa8000.Config, inputs []int64, st *pa8000.Stats, err error)
+
+// simulate is the memoizing counterpart of pa8000.RunCtx. A miss runs
+// the simulator inside a "simulate/run" leaf span; a hit, including a
+// caller that waited for another's run, copies the memoized Stats
+// inside a "simulate/hit" leaf. Deterministic errors (pa8000.ErrFuel,
+// an invalid address) are memoized like results; context errors never
+// are. The returned Stats is always the caller's own copy.
+func (c *Cache) simulate(ctx context.Context, mp *pa8000.Program, cfg pa8000.Config, inputs []int64, rec *obs.Recorder) (*pa8000.Stats, bool, error) {
+	run := func() (*pa8000.Stats, error) {
+		sp := rec.Begin("simulate/run")
+		defer sp.End()
+		return pa8000.RunCtx(ctx, mp, cfg, inputs)
+	}
+	if c == nil {
+		st, err := run()
+		return st, false, err
+	}
+	st, hit, err := c.sims.Do(ctx, pa8000.RunDigest(mp, cfg, inputs), run)
+	if hit && simHitHook != nil {
+		simHitHook(mp, cfg, inputs, st, err)
+	}
+	if err != nil {
+		return nil, hit, err
+	}
+	if hit {
+		sp := rec.Begin("simulate/hit")
+		defer sp.End()
+	}
+	cp := *st
+	cp.Output = append([]int64(nil), st.Output...)
+	return &cp, hit, nil
 }

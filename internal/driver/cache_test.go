@@ -15,7 +15,8 @@ import (
 // code size, run outcome, remark stream, and pipeline span structure.
 // The cache must be a pure wall-clock optimization — with one sanctioned
 // exception: the flight recorder's cache-attribution leaves
-// (frontend/parse, frontend/clone, train/run) deliberately reveal
+// (frontend/parse, frontend/clone, train/run, simulate/run,
+// simulate/hit) deliberately reveal
 // whether a stage did real work or replayed a memoized result, and are
 // asserted separately.
 func TestCacheEquivalence(t *testing.T) {
@@ -98,14 +99,16 @@ func TestCacheEquivalence(t *testing.T) {
 		}
 		return n
 	}
+	// The simulation repeats exactly in the warm run, so it is a hit.
 	for _, check := range []struct {
 		name                     string
 		spans                    []obs.Span
 		parses, clones, trainRun int
+		simRuns, simHits         int
 	}{
-		{"no cache", baseSpans, 2, 0, 2},
-		{"cold cache", coldSpans, 1, 2, 2},
-		{"warm cache", warmSpans, 0, 1, 0},
+		{"no cache", baseSpans, 2, 0, 2, 1, 0},
+		{"cold cache", coldSpans, 1, 2, 2, 1, 0},
+		{"warm cache", warmSpans, 0, 1, 0, 0, 1},
 	} {
 		if got := count(check.spans, "frontend/parse"); got != check.parses {
 			t.Errorf("%s: %d frontend/parse spans, want %d", check.name, got, check.parses)
@@ -116,6 +119,12 @@ func TestCacheEquivalence(t *testing.T) {
 		if got := count(check.spans, "train/run"); got != check.trainRun {
 			t.Errorf("%s: %d train/run spans, want %d", check.name, got, check.trainRun)
 		}
+		if got := count(check.spans, "simulate/run"); got != check.simRuns {
+			t.Errorf("%s: %d simulate/run spans, want %d", check.name, got, check.simRuns)
+		}
+		if got := count(check.spans, "simulate/hit"); got != check.simHits {
+			t.Errorf("%s: %d simulate/hit spans, want %d", check.name, got, check.simHits)
+		}
 	}
 }
 
@@ -125,7 +134,7 @@ func pipelineSpans(spans []obs.Span) []obs.Span {
 	var out []obs.Span
 	for _, sp := range spans {
 		switch sp.Name {
-		case "frontend/parse", "frontend/clone", "train/run":
+		case "frontend/parse", "frontend/clone", "train/run", "simulate/run", "simulate/hit":
 			continue
 		}
 		out = append(out, sp)

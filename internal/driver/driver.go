@@ -52,7 +52,8 @@ type Options struct {
 	// pa8000.Stats. A nil recorder disables all recording at zero cost.
 	Obs *obs.Recorder
 	// Cache memoizes the front end and the training stage across
-	// compilations of the same sources (see Cache). nil disables caching.
+	// compilations of the same sources, and simulations across
+	// identical runs (see Cache). nil disables caching.
 	Cache *Cache
 }
 
@@ -89,10 +90,9 @@ var ptFrontend = resilience.Register("driver/frontend", resilience.KindDegrade)
 // Frontend parses, checks and lowers MiniC sources into a resolved
 // program. A front-end panic — a parser bug on a pathological input, or
 // an injected fault at driver/frontend — is contained and reported as
-// an error. Containing it here (rather than in callers) also keeps the
-// Cache sound: its per-source sync.Once would otherwise be poisoned by
-// an escaping panic and hand every later hit a nil program with a nil
-// error.
+// an error. Containing it here (rather than in callers) also lets the
+// Cache latch the failure like any other front-end error, instead of
+// dropping the entry and re-running a panicking parse on every lookup.
 func Frontend(sources []string) (p *ir.Program, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -235,11 +235,18 @@ func (c *Compilation) Run(opts Options, inputs []int64) (*pa8000.Stats, error) {
 
 // RunCtx is Run with cancellation: the PA8000 model checks the context
 // at instruction-budget boundaries, so a canceled context stops a
-// simulation within a few thousand retired instructions.
+// simulation within a few thousand retired instructions. With
+// opts.Cache set, a run identical to an earlier one (same machine code,
+// configuration, engine and inputs) returns a copy of its outcome
+// instead of simulating again (see Cache).
 func (c *Compilation) RunCtx(ctx context.Context, opts Options, inputs []int64) (*pa8000.Stats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	sp := opts.Obs.Begin("simulate")
-	st, err := pa8000.RunCtx(ctx, c.Machine, opts.Machine, inputs)
+	st, hit, err := opts.Cache.simulate(ctx, c.Machine, opts.Machine, inputs, opts.Obs)
 	sp.End()
+	countCache(opts.Obs, "cache.sim", hit)
 	if err == nil {
 		publishSimCounters(opts.Obs, st)
 	}

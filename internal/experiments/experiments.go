@@ -49,16 +49,20 @@ var workers int
 // Not safe to change while an experiment is running.
 func SetParallelism(n int) { workers = n }
 
-// cache memoizes the front end and training stage across every cell of
-// every experiment: Table 1 compiles each benchmark 4 times, Figure 8
-// compiles 022.li dozens of times, and all of them share one frontend
-// and (per training-input set) one training run.
+// cache memoizes the front end, the training stage and simulations
+// across every cell of every experiment: Table 1 compiles each
+// benchmark 4 times, Figure 8 compiles 022.li dozens of times, and all
+// of them share one frontend and (per training-input set) one training
+// run; a cell whose machine code and inputs repeat an earlier cell's
+// (124.m88ksim's identical ref vectors, 099.go's "p" build that emits
+// its base code) reuses that simulation.
 var cache = driver.NewCache()
 
-// ResetCache drops the shared frontend/training cache. Profiling and
-// determinism tooling uses it to compare runs from a cold start: with a
-// warm cache the second run records no frontend/parse or train/run
-// spans, so its attribution table legitimately differs from the first.
+// ResetCache drops the shared frontend/training/simulation cache.
+// Profiling and determinism tooling uses it to compare runs from a cold
+// start: with a warm cache the second run records no frontend/parse,
+// train/run or simulate/run spans, so its attribution table
+// legitimately differs from the first.
 func ResetCache() { cache = driver.NewCache() }
 
 // forEachCell runs n independent experiment cells across the configured
@@ -105,7 +109,10 @@ func compileAndRun(b *specsuite.Benchmark, opts driver.Options, inputs []int64, 
 // monolithic m88ksim run was the straggler capping parallel speedup.
 // Cycles are summed per (benchmark, configuration) after the barrier;
 // the sum is byte-identical to running the deck sequentially in one
-// cell because every vector simulates from a fresh machine state.
+// cell because every vector simulates from a fresh machine state. When
+// a deck's vectors are identical (m88ksim's are), every cell still
+// compiles, but only the first to reach the simulator simulates: the
+// others wait for it and take the shared cache's memoized result.
 type refCell struct{ bi, ci, vi int }
 
 // refCells flattens benches × nConfigs × per-bench ref vectors.

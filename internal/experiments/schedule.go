@@ -66,7 +66,10 @@ func seedWeight(label string) int64 {
 	last := segs[li]
 	// Per-vector cells of a split ref deck ("…/c/v3") rank by their
 	// configuration segment — the vector suffix only names the slice of
-	// the workload, and every slice of a deck costs about the same.
+	// the workload. Slices are not equally costly once a deck repeats a
+	// vector: the first repeat to reach the simulator pays for the run
+	// and the rest are memo hits. Which slice pays is decided at run
+	// time, so no static weight can single it out.
 	if n, ok := strings.CutPrefix(last, "v"); ok && li >= 1 {
 		if _, err := strconv.Atoi(n); err == nil && n != "" {
 			li--

@@ -14,7 +14,9 @@ import (
 // in child spans); Self is Wall minus the wall time of direct children,
 // i.e. the time this phase spent doing its own work. CPU and the
 // allocation counters are cumulative too (a phase's children rarely
-// share its name, so in practice they read as per-phase).
+// share its name, so in practice they read as per-phase). CPU sums
+// only the spans whose CPU is known (Span.CPUUnknown), so it is a lower
+// bound when a phase's goroutine changed OS threads mid-span.
 type PhaseStat struct {
 	Name       string        `json:"name"`
 	Count      int           `json:"count"`

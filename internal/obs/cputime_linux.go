@@ -3,21 +3,30 @@
 package obs
 
 import (
+	"runtime"
 	"syscall"
 	"time"
+	"unsafe"
 )
 
-// cpuNow returns the CPU time (user + system) consumed by the calling
-// OS thread. Goroutines are not pinned to threads, so a span's CPU
-// delta is exact only while the goroutine stayed on one thread; a
-// migration mid-span under- or over-counts and the caller clamps
-// negative deltas to zero. For the CPU-bound pipeline phases this
-// records, migration between Begin and End is rare enough that the
-// attribution is within a few percent of a perf-counter measurement.
-func cpuNow() time.Duration {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_THREAD, &ru); err != nil {
-		return 0
+// clockThreadCPUTimeID is Linux's CLOCK_THREAD_CPUTIME_ID: the calling
+// thread's CPU time, including the slice it is running now. (Thread
+// rusage lags by up to a scheduler tick, which can exceed a short
+// span's whole wall time.)
+const clockThreadCPUTimeID = 3
+
+// threadCPU returns the calling OS thread's id and the CPU time (user +
+// system) it has consumed. The goroutine is locked to its thread across
+// the two reads, so they describe the same thread. Goroutines are not
+// pinned to threads between calls, so a span compares the ids read at
+// Begin and End: a delta between two different threads' clocks means
+// nothing, and such a span's CPU is marked unknown.
+func threadCPU() (tid int, cpu time.Duration) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	var ts syscall.Timespec
+	if _, _, errno := syscall.Syscall(syscall.SYS_CLOCK_GETTIME, clockThreadCPUTimeID, uintptr(unsafe.Pointer(&ts)), 0); errno != 0 {
+		return 0, 0
 	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	return syscall.Gettid(), time.Duration(ts.Nano())
 }

@@ -4,7 +4,7 @@ package obs
 
 import "time"
 
-// cpuNow is unavailable off Linux (no per-thread rusage in the standard
-// library): spans record zero CPU and the attribution report falls back
-// to wall time.
-func cpuNow() time.Duration { return 0 }
+// threadCPU is unavailable off Linux (no per-thread CPU clock in the
+// standard library): spans record zero CPU and the attribution report
+// falls back to wall time.
+func threadCPU() (tid int, cpu time.Duration) { return 0, 0 }

@@ -29,17 +29,17 @@ import (
 // "ok" for accepted decisions, one of the core.Reason strings
 // (e.g. "illegal-varargs", "budget", "no-benefit") for rejections.
 type Remark struct {
-	Kind     string `json:"kind"`              // inline | clone | outline | dead-call
-	Pass     int    `json:"pass,omitempty"`    // 1-based HLO pass; 0 outside the pass loop
-	Caller   string `json:"caller"`            // enclosing routine (QName)
-	Callee   string `json:"callee,omitempty"`  // target routine; empty for indirect sites
-	Site     int32  `json:"site"`              // call-site ID (block index for outline)
+	Kind     string `json:"kind"`             // inline | clone | outline | dead-call
+	Pass     int    `json:"pass,omitempty"`   // 1-based HLO pass; 0 outside the pass loop
+	Caller   string `json:"caller"`           // enclosing routine (QName)
+	Callee   string `json:"callee,omitempty"` // target routine; empty for indirect sites
+	Site     int32  `json:"site"`             // call-site ID (block index for outline)
 	Accepted bool   `json:"accepted"`
-	Reason   string `json:"reason"`            // machine-readable reason code
-	Benefit  int64  `json:"benefit,omitempty"` // figure of merit at decision time
-	Cost     int64  `json:"cost,omitempty"`    // projected compile-cost delta (model units)
+	Reason   string `json:"reason"`             // machine-readable reason code
+	Benefit  int64  `json:"benefit,omitempty"`  // figure of merit at decision time
+	Cost     int64  `json:"cost,omitempty"`     // projected compile-cost delta (model units)
 	Headroom int64  `json:"headroom,omitempty"` // stage budget remaining at decision time
-	Detail   string `json:"detail,omitempty"`  // e.g. the clone or outlined routine created
+	Detail   string `json:"detail,omitempty"`   // e.g. the clone or outlined routine created
 }
 
 // Span is one pipeline phase (schema v2, the flight-recorder form).
@@ -48,10 +48,12 @@ type Remark struct {
 // Wall time (Start, Dur) places the span on the process timeline; Start
 // is nanoseconds since a process-wide epoch, so spans merged from many
 // recorders stay mutually ordered (the Chrome trace exporter relies on
-// this). CPU is the span's thread-CPU delta: exact for a span that ran
-// on one OS thread (the common case — pipeline phases are CPU-bound
-// between preemption points), an approximation when the goroutine
-// migrated mid-span. AllocBytes/Allocs are process-wide heap-allocation
+// this). CPU is the span's thread-CPU delta, taken only when Begin and
+// End ran on the same OS thread (the common case — pipeline phases are
+// CPU-bound between preemption points). A span that ended on another
+// thread has CPUUnknown set and CPU zero: a difference between two
+// threads' clocks measures nothing, and can exceed the CPU the whole
+// process used. AllocBytes/Allocs are process-wide heap-allocation
 // deltas between Begin and End: exact attribution in a serial run, an
 // upper bound when other goroutines allocate concurrently.
 //
@@ -64,7 +66,8 @@ type Span struct {
 	Depth      int           `json:"depth"`              // nesting level at Begin time
 	Start      int64         `json:"start_ns,omitempty"` // ns since the process epoch
 	Dur        time.Duration `json:"dur_ns"`
-	CPU        time.Duration `json:"cpu_ns,omitempty"`     // thread CPU time consumed
+	CPU        time.Duration `json:"cpu_ns,omitempty"`      // thread CPU time consumed
+	CPUUnknown bool          `json:"cpu_unknown,omitempty"` // Begin and End ran on different threads
 	AllocBytes int64         `json:"alloc_bytes,omitempty"` // heap bytes allocated (process-wide delta)
 	Allocs     int64         `json:"allocs,omitempty"`      // heap objects allocated (process-wide delta)
 	Open       bool          `json:"open,omitempty"`        // never ended (truncated / in flight)
@@ -132,6 +135,7 @@ type Timer struct {
 	r      *Recorder
 	idx    int
 	start  time.Time
+	tid0   int
 	cpu0   time.Duration
 	bytes0 int64
 	objs0  int64
@@ -161,7 +165,8 @@ func (r *Recorder) BeginSized(name string, sizeBefore int, costBefore int64) Tim
 	})
 	r.depth++
 	r.mu.Unlock()
-	return Timer{r: r, idx: idx, start: time.Now(), cpu0: cpuNow(), bytes0: bytes0, objs0: objs0}
+	tid0, cpu0 := threadCPU()
+	return Timer{r: r, idx: idx, start: time.Now(), tid0: tid0, cpu0: cpu0, bytes0: bytes0, objs0: objs0}
 }
 
 // End closes the span.
@@ -174,15 +179,17 @@ func (t Timer) EndSized(sizeAfter int, costAfter int64) {
 		return
 	}
 	d := time.Since(t.start)
-	cpu := cpuNow() - t.cpu0
-	if cpu < 0 {
-		cpu = 0 // the goroutine migrated to a younger OS thread mid-span
+	tid1, cpu1 := threadCPU()
+	cpu, unknown := cpu1-t.cpu0, tid1 != t.tid0
+	if unknown {
+		cpu = 0
 	}
 	bytes1, objs1 := readHeapAllocs()
 	t.r.mu.Lock()
 	sp := &t.r.spans[t.idx]
 	sp.Dur = d
 	sp.CPU = cpu
+	sp.CPUUnknown = unknown
 	sp.AllocBytes = bytes1 - t.bytes0
 	sp.Allocs = objs1 - t.objs0
 	sp.Open = false

@@ -104,7 +104,9 @@ func WriteTrace(w io.Writer, spans []Span) error {
 		if sp.Open {
 			bw.WriteString(" (open)")
 		}
-		if sp.CPU != 0 {
+		if sp.CPUUnknown {
+			bw.WriteString("  cpu ?")
+		} else if sp.CPU != 0 {
 			fmt.Fprintf(bw, "  cpu %.2fms", sp.CPU.Seconds()*1000)
 		}
 		if sp.SizeBefore != 0 || sp.SizeAfter != 0 {

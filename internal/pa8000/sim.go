@@ -2,6 +2,8 @@ package pa8000
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -147,6 +149,53 @@ func RunCtx(ctx context.Context, p *Program, cfg Config, inputs []int64) (*Stats
 		return runReference(ctx, p, cfg, inputs)
 	}
 	return runEngine(ctx, p, cfg, inputs)
+}
+
+// RunDigest hashes everything RunCtx's result depends on: every field
+// of every instruction, the initial data, the entry point, the data
+// size, the configuration with its defaults applied, the selected
+// engine and the inputs. Two calls with equal digests return equal
+// Stats, or equal errors, unless the context ends first: RunCtx is a
+// pure function of these. The symbol maps (FuncAddr, GlobalAddr,
+// FuncOfAddr) are diagnostics the engines never read and are left out.
+// A change to what RunCtx reads must extend this digest in the same
+// change.
+func RunDigest(p *Program, cfg Config, inputs []int64) [32]byte {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	// Config is a flat struct of integers, so its %+v form names every
+	// field, present and future, unambiguously.
+	fmt.Fprintf(h, "reference=%t %+v\n", referenceEngine.Load(), cfg.withDefaults())
+	put(int64(len(p.Code)))
+	for i := range p.Code {
+		in := &p.Code[i]
+		put(int64(in.Op) | int64(in.Rd)<<16 | int64(in.Rs)<<24 | int64(in.Rt)<<32)
+		put(in.Imm)
+		put(int64(in.Target))
+		put(int64(len(in.Sym)))
+		h.Write([]byte(in.Sym))
+	}
+	put(int64(len(p.InitData)))
+	for _, di := range p.InitData {
+		put(di.Addr)
+		put(int64(len(di.Vals)))
+		for _, v := range di.Vals {
+			put(v)
+		}
+	}
+	put(int64(p.Entry))
+	put(p.DataLen)
+	put(int64(len(inputs)))
+	for _, v := range inputs {
+		put(v)
+	}
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // depInfo extracts the registers read and written for the pairing check.

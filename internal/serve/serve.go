@@ -12,8 +12,8 @@
 //     model, so abandoned work unwinds promptly at every layer.
 //   - Single-flight deduplication: concurrent byte-identical requests
 //     share one execution and one response, on top of a shared
-//     driver.Cache that memoizes front-end and training work across
-//     requests.
+//     driver.Cache that memoizes front-end, training and simulation
+//     work across requests.
 //   - Observability: every executed request gets a private
 //     obs.Recorder; its counters merge into a server-lifetime registry
 //     served as Prometheus text at /metrics (remarks and spans stay
@@ -88,7 +88,7 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	adm     *admission
-	flights flightGroup
+	flights *flightGroup
 	cache   *driver.Cache
 	store   *cas.Store    // farm tier; nil for a standalone daemon
 	reg     *obs.Recorder // server-lifetime counter registry
@@ -126,14 +126,15 @@ func New(cfg Config) *Server {
 		cfg.Cache.SetStore(cfg.Store)
 	}
 	s := &Server{
-		cfg:   cfg,
-		adm:   newAdmission(cfg.Workers, cfg.QueueDepth),
-		cache: cfg.Cache,
-		store: cfg.Store,
-		reg:   obs.New(),
-		log:   newAccessLogger(cfg.AccessLog),
-		mux:   http.NewServeMux(),
-		start: time.Now(),
+		cfg:     cfg,
+		adm:     newAdmission(cfg.Workers, cfg.QueueDepth),
+		flights: newFlightGroup(),
+		cache:   cfg.Cache,
+		store:   cfg.Store,
+		reg:     obs.New(),
+		log:     newAccessLogger(cfg.AccessLog),
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
 	}
 	s.life = s.reg.Begin("server")
 	s.mux.HandleFunc("/healthz", s.handleHealthz)

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
+
+	"repro/internal/memo"
 )
 
 // flightResult is the fully rendered outcome of one executed request:
@@ -40,59 +42,39 @@ type flightResult struct {
 //
 // A leader whose own client disconnects does not doom its followers:
 // the canceled result is dropped and one waiting follower retries as
-// the new leader under its own context.
+// the new leader under its own context (memo.Group).
 type flightGroup struct {
-	mu      sync.Mutex
-	flights map[string]*flight
-	hits    int64 // followers served from a shared result
+	g    memo.Group[string, *flightResult]
+	hits atomic.Int64 // followers served from a shared result
 }
 
-type flight struct {
-	done chan struct{}
-	res  *flightResult
+func newFlightGroup() *flightGroup {
+	return &flightGroup{g: memo.Group[string, *flightResult]{Forget: true}}
 }
 
 // do returns fn's result for key, sharing one execution among
 // concurrent identical requests. shared reports whether the result
 // came from another caller's flight. A ctx error is returned only for
 // this caller's own context.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() *flightResult) (res *flightResult, shared bool, err error) {
-	for {
-		g.mu.Lock()
-		if g.flights == nil {
-			g.flights = make(map[string]*flight)
+func (f *flightGroup) do(ctx context.Context, key string, fn func() *flightResult) (res *flightResult, shared bool, err error) {
+	res, shared, err = f.g.Do(ctx, key, func() (*flightResult, error) {
+		res := fn()
+		if res.canceled {
+			return res, context.Canceled // never shared: its client is gone
 		}
-		f, ok := g.flights[key]
-		if !ok {
-			f = &flight{done: make(chan struct{})}
-			g.flights[key] = f
-			g.mu.Unlock()
-			f.res = fn()
-			g.mu.Lock()
-			delete(g.flights, key)
-			g.mu.Unlock()
-			close(f.done)
-			return f.res, false, nil
-		}
-		g.mu.Unlock()
-		select {
-		case <-f.done:
-			if f.res.canceled {
-				continue // the leader's client vanished; take over
-			}
-			g.mu.Lock()
-			g.hits++
-			g.mu.Unlock()
-			return f.res, true, nil
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
+		return res, nil
+	})
+	if err != nil && res == nil {
+		return nil, false, err // this caller's own context ended while it waited
 	}
+	if res.canceled {
+		return res, false, nil
+	}
+	if shared {
+		f.hits.Add(1)
+	}
+	return res, shared, nil
 }
 
 // dedupHits reports how many requests were served from a shared flight.
-func (g *flightGroup) dedupHits() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.hits
-}
+func (f *flightGroup) dedupHits() int64 { return f.hits.Load() }
