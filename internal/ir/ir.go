@@ -294,21 +294,26 @@ func (b *Block) Term() *Instr {
 }
 
 // Succs returns the successor block indices of b.
-func (b *Block) Succs() []int {
+func (b *Block) Succs() []int { return b.AppendSuccs(nil) }
+
+// AppendSuccs appends the successor block indices of b (at most two) to
+// dst and returns the extended slice. Hot CFG walks pass a reused
+// buffer, such as a [2]int, so they do not allocate per block.
+func (b *Block) AppendSuccs(dst []int) []int {
 	t := b.Term()
 	if t == nil {
-		return nil
+		return dst
 	}
 	switch t.Op {
 	case Br:
 		if t.Then == t.Else {
-			return []int{t.Then}
+			return append(dst, t.Then)
 		}
-		return []int{t.Then, t.Else}
+		return append(dst, t.Then, t.Else)
 	case Jmp:
-		return []int{t.Then}
+		return append(dst, t.Then)
 	}
-	return nil
+	return dst
 }
 
 // Clone returns a deep copy of the block.
@@ -406,8 +411,9 @@ func (f *Func) Clone(qname string) *Func {
 // Preds computes the predecessor lists for every block.
 func (f *Func) Preds() [][]int {
 	preds := make([][]int, len(f.Blocks))
+	var buf [2]int
 	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
+		for _, s := range b.AppendSuccs(buf[:0]) {
 			preds[s] = append(preds[s], b.Index)
 		}
 	}

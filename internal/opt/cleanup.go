@@ -72,8 +72,17 @@ func threadJumps(f *ir.Func) bool {
 
 // mergeChains merges a block into its unique successor when that
 // successor has no other predecessors (straight-line concatenation).
+// Merging b with s moves s's out-edges to b, so every other block keeps
+// its predecessor count: the counts are computed once, and only s's
+// drops to zero.
 func mergeChains(f *ir.Func) bool {
-	preds := f.Preds()
+	npreds := make([]int, len(f.Blocks))
+	var buf [2]int
+	for _, b := range f.Blocks {
+		for _, s := range b.AppendSuccs(buf[:0]) {
+			npreds[s]++
+		}
+	}
 	changed := false
 	for _, b := range f.Blocks {
 		for {
@@ -82,7 +91,7 @@ func mergeChains(f *ir.Func) bool {
 				break
 			}
 			s := t.Then
-			if s == b.Index || s == 0 || len(preds[s]) != 1 {
+			if s == b.Index || s == 0 || npreds[s] != 1 {
 				break
 			}
 			succ := f.Blocks[s]
@@ -93,10 +102,7 @@ func mergeChains(f *ir.Func) bool {
 			b.Instrs = append(b.Instrs[:len(b.Instrs)-1], succ.Instrs...)
 			// succ becomes an unreachable stub.
 			succ.Instrs = []ir.Instr{{Op: ir.Ret, A: ir.ConstOp(0)}}
-			preds[s] = nil
-			// Successors of succ now have b as predecessor; patch preds
-			// conservatively by recomputing when needed.
-			preds = f.Preds()
+			npreds[s] = 0
 			changed = true
 		}
 	}
@@ -108,12 +114,13 @@ func mergeChains(f *ir.Func) bool {
 func dropUnreachable(f *ir.Func) bool {
 	reach := make([]bool, len(f.Blocks))
 	var stack []int
+	var buf [2]int
 	reach[0] = true
 	stack = append(stack, 0)
 	for len(stack) > 0 {
 		bi := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range f.Blocks[bi].Succs() {
+		for _, s := range f.Blocks[bi].AppendSuccs(buf[:0]) {
 			if !reach[s] {
 				reach[s] = true
 				stack = append(stack, s)

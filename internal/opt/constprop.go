@@ -49,13 +49,12 @@ func meet(a, b latticeVal) latticeVal {
 	}
 }
 
-// env is a per-block lattice environment, indexed densely by register
-// (the zero latticeVal is top, so a fresh slice is the all-top state).
-// ConstProp copies an environment per block per fixpoint round; the
-// dense representation keeps that a single memmove, where a
-// register→value map made environment cloning the hottest path in the
-// whole compiler on heavily inlined functions. Out-of-range registers
-// are illegal IR (Verify rejects them), so set may drop such writes.
+// env is a lattice environment indexed densely by register (the zero
+// latticeVal is top). ConstProp keeps one NumRegs-wide env as the
+// scratch that transfer runs over; per-block state holds only the
+// registers that flow between blocks (see cpState). Out-of-range
+// registers are illegal IR (Verify rejects them), so set may drop such
+// writes.
 type env []latticeVal
 
 func (e env) get(r ir.Reg) latticeVal {
@@ -71,21 +70,60 @@ func (e env) set(r ir.Reg, v latticeVal) {
 	}
 }
 
-// cpState is ConstProp's pooled working memory: one latticeVal slab
-// carved into per-block environments plus the out scratch, the
-// reached/inWork bit vectors, and the worklist. Pooling it matters:
-// the per-visit env clones the pool replaces were the compiler's
-// largest allocation source (≈36% of all bytes over a Table 1 run),
-// and the GC cycles they forced also drained the simulator's and
-// interpreter's state pools on every cell.
+// cpState is ConstProp's pooled working memory. After inlining most
+// registers are block-local temporaries: every block that reads one
+// writes it first, so its value never crosses an edge. Only the global
+// registers (some block reads them before writing them, the "global
+// names" of semi-pruned SSA) get a slot: regs maps slot → register, and
+// each block's entry environment is the ng = len(regs) cells
+// slab[b*ng:(b+1)*ng]. A visit scatters the block's slots into the
+// NumRegs-wide out scratch, runs transfer over it and gathers (or
+// meets) the slots back on each edge, so the fixpoint costs ng, not
+// NumRegs, per block and per edge. A local register's stale value in
+// out is never read: every block writes it before reading it. Pooling
+// matters: per-visit environments were once the compiler's largest
+// allocation source, and the GC cycles they forced drained the
+// simulator's and interpreter's pools.
 type cpState struct {
+	mark  []int32 // pre-pass: -1 once global, else 1 + the last block to write the register
+	regs  []ir.Reg
+	uses  []ir.Reg
 	slab  []latticeVal
-	ins   []env
+	out   env
 	marks []bool // reached[0:nb] ++ inWork[nb:2nb]
 	work  []int
 }
 
 var cpPool = sync.Pool{New: func() any { return new(cpState) }}
+
+// globals collects into st.regs every register some block reads before
+// it writes it, in one pass over the instructions. Reads are
+// Instr.Uses; writes are exactly the ones transfer performs.
+func (st *cpState) globals(f *ir.Func) {
+	nr := int(f.NumRegs)
+	if cap(st.mark) < nr {
+		st.mark = make([]int32, nr)
+	}
+	mark := st.mark[:nr]
+	clear(mark)
+	st.regs = st.regs[:0]
+	for bi, b := range f.Blocks {
+		stamp := int32(bi + 1)
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			st.uses = in.Uses(st.uses[:0])
+			for _, r := range st.uses {
+				if r >= 0 && int(r) < nr && mark[r] >= 0 && mark[r] != stamp {
+					mark[r] = -1
+					st.regs = append(st.regs, r)
+				}
+			}
+			if in.HasDst() && in.Dst >= 0 && int(in.Dst) < nr && mark[in.Dst] >= 0 {
+				mark[in.Dst] = stamp
+			}
+		}
+	}
+}
 
 // ConstProp performs a forward conditional-constant dataflow over f and
 // rewrites the function: operands known constant are substituted,
@@ -93,24 +131,29 @@ var cpPool = sync.Pool{New: func() any { return new(cpState) }}
 // become jumps, and indirect calls through known function addresses
 // become direct calls. It reports whether anything changed.
 func ConstProp(f *ir.Func) bool {
-	nb, nr := len(f.Blocks), int(f.NumRegs)
 	st := cpPool.Get().(*cpState)
 	defer cpPool.Put(st)
-	if need := (nb + 1) * nr; cap(st.slab) < need {
+	st.globals(f)
+	nb, ng, regs := len(f.Blocks), len(st.regs), st.regs
+	if need := nb * ng; cap(st.slab) < need {
 		st.slab = make([]latticeVal, need)
 	}
-	if cap(st.ins) < nb {
-		st.ins = make([]env, nb)
+	if nr := int(f.NumRegs); cap(st.out) < nr {
+		st.out = make(env, nr)
 	}
 	if cap(st.marks) < 2*nb {
 		st.marks = make([]bool, 2*nb)
 	}
-	ins := st.ins[:nb]
-	for i := range ins {
-		ins[i] = env(st.slab[i*nr : (i+1)*nr])
+	ins := func(b int) []latticeVal { return st.slab[b*ng : (b+1)*ng] }
+	out := st.out[:f.NumRegs]
+	// scatter loads block b's entry slots into out.
+	scatter := func(b int) {
+		for k, v := range ins(b) {
+			out[regs[k]] = v
+		}
 	}
-	// A block's env is read only after its reached bit is set, and the
-	// first touch is a full overwrite (copy below), so stale slab
+	// A block's slots are read only after its reached bit is set, and
+	// the first touch is a full overwrite (gather below), so stale slab
 	// contents never leak between calls; only entry needs clearing.
 	reached := st.marks[:nb]
 	inWork := st.marks[nb : 2*nb]
@@ -118,47 +161,49 @@ func ConstProp(f *ir.Func) bool {
 		reached[i] = false
 		inWork[i] = false
 	}
-	// Entry: parameters and everything else start varying only when
-	// used before definition; the lattice handles that via top.
-	entry := ins[0]
-	for i := range entry {
-		entry[i] = latticeVal{}
-	}
-	for i := 0; i < f.NumParams; i++ {
-		entry[i] = bottom
+	// Entry: parameters start varying, everything else top.
+	entry := ins(0)
+	for k, r := range regs {
+		entry[k] = latticeVal{}
+		if int(r) < f.NumParams {
+			entry[k] = bottom
+		}
 	}
 	reached[0] = true
 
 	work := append(st.work[:0], 0)
 	defer func() { st.work = work[:0] }()
 	inWork[0] = true
-	// out is scratch reused across visits; each ins[s] is a uniquely
-	// owned slice (overwritten on first reach), so successor states meet
-	// in place instead of clone-merge-compare.
-	out := env(st.slab[nb*nr : (nb+1)*nr])
+	var succs [2]int
 	for len(work) > 0 {
 		bi := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[bi] = false
 		b := f.Blocks[bi]
-		copy(out, ins[bi])
+		scatter(bi)
 		for i := range b.Instrs {
 			transfer(&b.Instrs[i], out)
 		}
-		for _, s := range b.Succs() {
-			next := ins[s]
+		// Each ins(s) is uniquely owned, so successor states meet in
+		// place instead of clone-merge-compare.
+		for _, s := range b.AppendSuccs(succs[:0]) {
+			next := ins(s)
 			if !reached[s] {
-				copy(next, out)
+				for k, r := range regs {
+					next[k] = out[r]
+				}
 				reached[s] = true
 			} else {
 				changed := false
-				for r := range out {
-					// meet with top is the identity, so top entries of out
-					// leave next unchanged.
-					m := meet(next[r], out[r])
-					v := next[r]
-					if m.bot != v.bot || m.set != v.set || !m.op.Eq(v.op) {
-						next[r] = m
+				for k, r := range regs {
+					v, o := next[k], out[r]
+					// Bottom absorbs and top is the identity: either
+					// leaves next unchanged.
+					if v.bot || !o.set && !o.bot {
+						continue
+					}
+					if m := meet(v, o); m.bot != v.bot || m.set != v.set || !m.op.Eq(v.op) {
+						next[k] = m
 						changed = true
 					}
 				}
@@ -179,15 +224,13 @@ func ConstProp(f *ir.Func) bool {
 		if !reached[bi] {
 			continue // unreachable; Cleanup removes it
 		}
-		e := ins[bi]
-		// The fixpoint is done and ins[bi] is read only here, so the
-		// rewrite walks it forward in place.
+		scatter(bi)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			// Substitute known-constant register operands.
 			in.Operands(func(o *ir.Operand) {
 				if o.Kind == ir.KindReg {
-					if v := e.get(o.Reg); v.isConst() {
+					if v := out.get(o.Reg); v.isConst() {
 						*o = v.op
 						changed = true
 					}
@@ -197,7 +240,7 @@ func ConstProp(f *ir.Func) bool {
 			if foldInstr(in) {
 				changed = true
 			}
-			transfer(in, e)
+			transfer(in, out)
 		}
 	}
 	return changed
